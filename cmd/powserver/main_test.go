@@ -114,6 +114,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		`aipow_issued{pipeline="web",node="node-test"} 3`,
 		`aipow_serving_latency_ms_count{pipeline="web",node="node-test",stage="decide"} 3`,
 		`aipow_trace_sampled{pipeline="web",node="node-test"} 3`,
+		`aipow_trace_dropped{pipeline="web",node="node-test"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)

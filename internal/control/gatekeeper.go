@@ -407,6 +407,8 @@ func (gk *Gatekeeper) ExpositionInto(e *metrics.Exposition, node string) {
 		if t := fw.TraceRing(); t != nil {
 			e.Add(metrics.TypeCounter, "aipow_trace_sampled", "decisions recorded into the trace ring",
 				float64(t.Recorded()), labels...)
+			e.Add(metrics.TypeCounter, "aipow_trace_dropped", "sampled decisions dropped because their ring slot was mid-write",
+				float64(t.Dropped()), labels...)
 		}
 		if ctrl := p.Controller(); ctrl != nil {
 			stats := make(map[string]float64, 16)

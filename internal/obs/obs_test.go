@@ -126,6 +126,32 @@ func TestTraceRingWrap(t *testing.T) {
 	}
 }
 
+// TestTraceRingDropsHeldSlot: a writer that wraps onto a slot another
+// writer still holds drops its sample and counts it, leaving the held
+// record intact.
+func TestTraceRingDropsHeldSlot(t *testing.T) {
+	tr := NewTraceRing(1, 16)
+	held := tr.begin() // slot 0, mid-write
+	for i := 1; i <= 16; i++ {
+		tr.RecordDecide(time.Unix(int64(i), 0), uint64(i), float64(i), 1, 0, int32(i), 0, 0, 0, int64(i))
+	}
+	if tr.Dropped() != 1 || tr.Recorded() != 16 {
+		t.Fatalf("Dropped = %d, Recorded = %d, want 1 and 16", tr.Dropped(), tr.Recorded())
+	}
+	if got := len(tr.Snapshot()); got != 15 {
+		t.Fatalf("snapshot len = %d with slot 0 mid-write, want 15", got)
+	}
+	held.difficulty.Store(7)
+	held.score.Store(floatBits(7))
+	held.totalNs.Store(7)
+	held.seq.Add(1)
+	for _, s := range tr.Snapshot() {
+		if int32(s.Score) != int32(s.Difficulty) || s.TotalNs != int64(s.Difficulty) {
+			t.Errorf("torn record: %+v", s)
+		}
+	}
+}
+
 func TestVerifyOutcomeStrings(t *testing.T) {
 	for o := OutcomeOK; o <= OutcomeOther+1; o++ {
 		if o.String() == "" {

@@ -64,11 +64,14 @@ func (o VerifyOutcome) String() string {
 
 // traceRecord is one ring slot. Every field is atomic-sized and accessed
 // only through atomic operations, with a per-slot sequence counter
-// providing seqlock semantics: seq is incremented before the first field
-// store (odd = being written) and after the last (even = stable), so a
-// reader that observes an odd or changed seq discards the slot instead of
-// reporting a torn record. This keeps the writer lock-free and the whole
-// structure clean under the race detector.
+// providing seqlock semantics: a writer claims the slot by moving seq
+// from even to odd with a CAS before the first field store and releases
+// it with an increment (even = stable) after the last, so a reader that
+// observes an odd or changed seq discards the slot instead of reporting
+// a torn record. The CAS makes the slot single-writer: when two writers
+// wrap onto the same slot, the loser drops its sample rather than
+// interleaving stores with the winner. This keeps the writer lock-free
+// and the whole structure clean under the race detector.
 type traceRecord struct {
 	seq        atomic.Uint64
 	at         atomic.Int64 // unix nanoseconds
@@ -134,6 +137,7 @@ type TraceRing struct {
 	slots      []traceRecord
 	counter    atomic.Uint64
 	widx       atomic.Uint64
+	dropped    atomic.Uint64
 }
 
 // Trace ring size limits: the ring is fixed-size memory held for the
@@ -195,7 +199,14 @@ func (t *TraceRing) Seen() uint64 { return t.counter.Load() }
 
 // Recorded reports how many records were ever written (recent Cap() of
 // them are retained).
-func (t *TraceRing) Recorded() uint64 { return t.widx.Load() }
+func (t *TraceRing) Recorded() uint64 {
+	d := t.dropped.Load() // before widx, so the difference never underflows
+	return t.widx.Load() - d
+}
+
+// Dropped reports how many sampled records were discarded because their
+// slot was still being written by another writer.
+func (t *TraceRing) Dropped() uint64 { return t.dropped.Load() }
 
 // Sampled reports whether the current request should be traced: one
 // atomic add, one mask compare. This is the entire unsampled-path cost.
@@ -203,10 +214,16 @@ func (t *TraceRing) Sampled() bool {
 	return t.counter.Add(1)&t.sampleMask == 0
 }
 
-// begin claims the next slot and marks it mid-write.
+// begin claims the next slot and marks it mid-write (odd: readers skip).
+// It returns nil, counting a drop, when another writer still holds the
+// slot.
 func (t *TraceRing) begin() *traceRecord {
 	r := &t.slots[(t.widx.Add(1)-1)&t.slotMask]
-	r.seq.Add(1) // odd: readers skip
+	seq := r.seq.Load()
+	if seq&1 == 1 || !r.seq.CompareAndSwap(seq, seq+1) {
+		t.dropped.Add(1)
+		return nil
+	}
 	return r
 }
 
@@ -214,6 +231,9 @@ func (t *TraceRing) begin() *traceRecord {
 // no allocation.
 func (t *TraceRing) RecordDecide(at time.Time, client uint64, score, conf, credit float64, difficulty, rung int32, scoreNs, issueNs, totalNs int64) {
 	r := t.begin()
+	if r == nil {
+		return
+	}
 	r.at.Store(at.UnixNano())
 	r.client.Store(client)
 	r.kind.Store(TraceDecide)
@@ -232,6 +252,9 @@ func (t *TraceRing) RecordDecide(at time.Time, client uint64, score, conf, credi
 // RecordVerify writes one sampled verification trace.
 func (t *TraceRing) RecordVerify(at time.Time, client uint64, outcome VerifyOutcome, difficulty, rung int32, totalNs int64) {
 	r := t.begin()
+	if r == nil {
+		return
+	}
 	r.at.Store(at.UnixNano())
 	r.client.Store(client)
 	r.kind.Store(TraceVerify)

@@ -20,7 +20,8 @@ import (
 // balloon(canonical(challenge) ‖ nonce) has at least d leading zero bits
 // — the same difficulty dial as hashcash, but each attempt costs
 // space·(1+(delta+1)·time) hashes over a space·32-byte working set
-// instead of one hash over 64 bytes.
+// instead of one hash over 64 bytes. Every mixing hash spans two SHA-256
+// blocks, so that is space·(1+2·(delta+1)·time) compressions.
 const (
 	// balloonBlockSize is the buffer block size (one SHA-256 digest).
 	balloonBlockSize = sha256.Size
@@ -31,7 +32,8 @@ const (
 
 	// DefaultBalloonSpace and DefaultBalloonRounds are the production
 	// defaults: 256 blocks × 32 B = 8 KiB working set, 2 mixing rounds,
-	// ≈2300 hashes per attempt (≈2^11), so a d-difficult balloon
+	// 2304 hashes and ≈4350 SHA-256 compressions per attempt (≈2^11
+	// hashcash attempts of two compressions each), so a d-difficult balloon
 	// challenge prices like a (d+11)-difficult hashcash one on a CPU —
 	// and far worse than that on hardware that discounts raw SHA-256.
 	DefaultBalloonSpace  = 256
@@ -48,10 +50,34 @@ const (
 	maxBalloonRounds = 64
 )
 
+// Every hash after the first has one of two fixed shapes: le64(cnt)‖a
+// (40 B, one SHA-256 compression) and le64(cnt)‖a‖b (72 B, two). On
+// amd64 with SHA-NI, balloonHash runs a compression kernel that builds
+// the padded message in registers straight from the two blocks; elsewhere
+// it stages the bytes and calls sha256.Sum256 (balloonHashStaged). Both
+// produce the same digest.
+const (
+	expandLen = 8 + balloonBlockSize
+	mixLen    = 8 + 2*balloonBlockSize
+)
+
+// balloonHashStaged is the portable balloonHash.
+func balloonHashStaged(dst *[balloonBlockSize]byte, cnt uint64, a, b *[balloonBlockSize]byte) {
+	var msg [mixLen]byte
+	binary.LittleEndian.PutUint64(msg[:], cnt)
+	copy(msg[8:], a[:])
+	if b == nil {
+		*dst = sha256.Sum256(msg[:expandLen])
+		return
+	}
+	copy(msg[expandLen:], b[:])
+	*dst = sha256.Sum256(msg[:])
+}
+
 // balloonScratch is the pooled working state of one balloon evaluation:
-// the block buffer plus an input scratch for counter-prefixed hashing.
-// Pooling it keeps repeated verifications allocation-free; the buffer
-// grows to the largest space seen and stays there.
+// the block buffer plus an input scratch for the first, variable-length
+// message. Pooling it keeps repeated verifications allocation-free; the
+// buffer grows to the largest space seen and stays there.
 type balloonScratch struct {
 	blocks []byte
 	in     []byte
@@ -61,7 +87,7 @@ var balloonPool = sync.Pool{
 	New: func() any {
 		return &balloonScratch{
 			blocks: make([]byte, DefaultBalloonSpace*balloonBlockSize),
-			in:     make([]byte, 0, 8+2*balloonBlockSize+binaryFixedSizeV2+64),
+			in:     make([]byte, 0, 8+binaryFixedSizeV2+64),
 		}
 	},
 }
@@ -87,29 +113,20 @@ func balloonDigest(preimage []byte, space, rounds uint32) [sha256.Size]byte {
 		s.blocks = make([]byte, need)
 	}
 	blocks := s.blocks[:need]
-	var cnt uint64
-
-	// hashInto writes H(le64(cnt++) ‖ a ‖ b) into dst. dst may alias a
-	// or b: the input is staged through s.in before hashing.
-	hashInto := func(dst, a, b []byte) {
-		in := s.in[:0]
-		in = binary.LittleEndian.AppendUint64(in, cnt)
-		cnt++
-		in = append(in, a...)
-		in = append(in, b...)
-		s.in = in
-		sum := sha256.Sum256(in)
-		copy(dst, sum[:])
+	block := func(m uint32) *[balloonBlockSize]byte {
+		return (*[balloonBlockSize]byte)(blocks[m*balloonBlockSize:])
 	}
 
-	block := func(m uint32) []byte {
-		return blocks[m*balloonBlockSize : (m+1)*balloonBlockSize]
-	}
-
-	// Expand: fill the buffer sequentially from the preimage.
-	hashInto(block(0), preimage, nil)
+	// Expand: fill the buffer sequentially from the preimage. Every hash
+	// is H(le64(cnt) ‖ …), cnt counting hashes from 0.
+	in := binary.LittleEndian.AppendUint64(s.in[:0], 0)
+	in = append(in, preimage...)
+	s.in = in
+	*block(0) = sha256.Sum256(in)
+	cnt := uint64(1)
 	for m := uint32(1); m < space; m++ {
-		hashInto(block(m), block(m-1), nil)
+		balloonHash(block(m), cnt, block(m-1), nil)
+		cnt++
 	}
 
 	// Mix: every round re-hashes each block with its predecessor, then
@@ -117,17 +134,18 @@ func balloonDigest(preimage []byte, space, rounds uint32) [sha256.Size]byte {
 	// bytes — the data-dependent step that forces residency.
 	for r := uint32(0); r < rounds; r++ {
 		for m := uint32(0); m < space; m++ {
-			prev := block((m + space - 1) % space)
-			hashInto(block(m), prev, block(m))
+			dst := block(m)
+			balloonHash(dst, cnt, block((m+space-1)%space), dst)
+			cnt++
 			for i := 0; i < balloonDelta; i++ {
-				idx := uint32(binary.LittleEndian.Uint64(block(m)[i*8:]) % uint64(space))
-				hashInto(block(m), block(m), block(idx))
+				idx := uint32(binary.LittleEndian.Uint64(dst[i*8:]) % uint64(space))
+				balloonHash(dst, cnt, dst, block(idx))
+				cnt++
 			}
 		}
 	}
 
-	var out [sha256.Size]byte
-	copy(out[:], block(space-1))
+	out := *block(space - 1)
 	balloonPool.Put(s)
 	return out
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // Verifier checks solutions. It corresponds to the paper's lightweight
-// "puzzle verification" module: one HMAC plus one SHA-256 evaluation per
+// "puzzle verification" module: one HMAC plus one puzzle evaluation per
 // solution, independent of difficulty — the asymmetry that makes PoW a
-// defense (see the Asymmetry benchmark).
+// defense (see the Asymmetry benchmark). On hashcash routes the
+// evaluation is one SHA-256; on balloon routes it is one balloon
+// evaluation, ≈4350 SHA-256 compressions at the default 256/2 cost.
 //
 // Verifier is safe for concurrent use.
 type Verifier struct {
