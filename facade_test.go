@@ -26,11 +26,7 @@ func TestPublicParallelSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := aipow.NewParallelSolver(aipow.WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, stats, err := ps.Solve(context.Background(), ch)
+	sol, stats, err := aipow.NewSolver(aipow.WithSolverWorkers(3)).Solve(context.Background(), ch)
 	if err != nil {
 		t.Fatal(err)
 	}

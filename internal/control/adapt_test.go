@@ -1,6 +1,7 @@
 package control
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestParseDeploymentAdaptText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse canonical JSON: %v", err)
 	}
-	if !dep2.Pipelines[0].Adapt.equal(a) {
+	if !reflect.DeepEqual(dep2.Pipelines[0].Adapt, a) {
 		t.Fatalf("adapt section changed across the JSON round trip: %+v vs %+v", dep2.Pipelines[0].Adapt, a)
 	}
 }

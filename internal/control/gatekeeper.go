@@ -109,6 +109,7 @@ func (gk *Gatekeeper) build(dep *DeploymentSpec, prev *gkState) (*gkState, error
 		pipelines: make(map[string]*Pipeline, len(dep.Pipelines)),
 		tenants:   make(map[string]*Pipeline),
 	}
+	// A pendingSwap without components only redeclares the spec.
 	type pendingSwap struct {
 		p      *Pipeline
 		ps     PipelineSpec
@@ -125,7 +126,10 @@ func (gk *Gatekeeper) build(dep *DeploymentSpec, prev *gkState) (*gkState, error
 			if old, ok := prev.pipelines[ps.Name]; ok {
 				if old.Spec().swappableEqual(resolved) == nil {
 					if old.upToDate(resolved) {
-						built = old // unchanged: keep running state intact
+						// Unchanged in effect: keep running state intact,
+						// recording only the declared spelling.
+						pending = append(pending, pendingSwap{p: old, ps: resolved})
+						built = old
 					} else {
 						scorer, pol, source, ctrl, err := gk.reg.components(resolved, old.load, old.tracker, old.adaptEvents(resolved.Name))
 						if err != nil {
@@ -149,6 +153,10 @@ func (gk *Gatekeeper) build(dep *DeploymentSpec, prev *gkState) (*gkState, error
 		st.pipelines[ps.Name] = built
 	}
 	for _, sw := range pending {
+		if sw.scorer == nil {
+			sw.p.redeclare(sw.ps)
+			continue
+		}
 		if err := sw.p.applyResolved(sw.ps, sw.scorer, sw.pol, sw.source, sw.ctrl); err != nil {
 			return nil, err
 		}

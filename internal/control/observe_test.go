@@ -1,6 +1,7 @@
 package control
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ pipeline web
 	if err != nil {
 		t.Fatalf("re-parse canonical JSON: %v", err)
 	}
-	if !dep2.Pipelines[0].Observe.equal(o) {
+	if !reflect.DeepEqual(dep2.Pipelines[0].Observe, o) {
 		t.Fatalf("observe section changed across the JSON round trip: %+v vs %+v", dep2.Pipelines[0].Observe, o)
 	}
 }
@@ -120,12 +121,62 @@ func TestObserveHotSwap(t *testing.T) {
 		t.Fatal("unrelated apply replaced the trace ring")
 	}
 
+	// Spellings with equal effective parameters keep the running ring:
+	// 1000 and 200 round up to 1024 and 256, which are also the
+	// defaults an empty trace() takes. Spec still reports each spelling
+	// as declared.
+	for _, tc := range []struct{ from, to ObserveSpec }{
+		{ObserveSpec{TraceSample: 1000, TraceRing: 200}, ObserveSpec{TraceSample: 1024, TraceRing: 256}},
+		{ObserveSpec{TraceSample: 1024, TraceRing: 256}, ObserveSpec{}},
+	} {
+		from, to := base, base
+		from.Observe, to.Observe = &tc.from, &tc.to
+		if err := p.Apply(from); err != nil {
+			t.Fatal(err)
+		}
+		ring := p.Framework().TraceRing()
+		if err := p.Apply(to); err != nil {
+			t.Fatal(err)
+		}
+		if p.Framework().TraceRing() != ring {
+			t.Errorf("apply %+v → %+v replaced the trace ring", tc.from, tc.to)
+		}
+		if got := *p.Spec().Observe; got != tc.to {
+			t.Errorf("Spec().Observe = %+v, want the declared %+v", got, tc.to)
+		}
+	}
+
 	// Removing the section disables tracing.
 	if err := p.Apply(base); err != nil {
 		t.Fatal(err)
 	}
 	if p.Framework().TraceRing() != nil {
 		t.Fatal("removing the observe section left tracing on")
+	}
+}
+
+// TestGatekeeperObserveRespelling: a deployment apply that only
+// respells the observe section (same effective sample and ring) keeps
+// the running trace ring, and GET /spec serves the new spelling.
+func TestGatekeeperObserveRespelling(t *testing.T) {
+	dep := gkSpec()
+	dep.Pipelines[0].Observe = &ObserveSpec{TraceSample: 1000, TraceRing: 200}
+	gk, err := NewGatekeeper(newTestRegistry(t), dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	web, _ := gk.Pipeline("web")
+	ring := web.Framework().TraceRing()
+	respelled := gkSpec()
+	respelled.Pipelines[0].Observe = &ObserveSpec{TraceSample: 1024, TraceRing: 256}
+	if err := gk.Apply(respelled); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := gk.Pipeline("web"); p != web || web.Framework().TraceRing() != ring {
+		t.Fatal("respelled observe section replaced the pipeline or its trace ring")
+	}
+	if served, _ := gk.Spec().Pipeline("web"); *served.Observe != *respelled.Pipelines[0].Observe {
+		t.Fatalf("served observe = %+v, want the declared %+v", *served.Observe, *respelled.Pipelines[0].Observe)
 	}
 }
 

@@ -210,11 +210,12 @@ func (p *Pipeline) attachControllerLocked(ctrl *feedback.Controller) {
 // pipeline rebuilds its controller at base level: the declared spec wins
 // over accumulated escalation state, and the controller re-escalates if
 // the signals still demand it.
-// The spec's name and its non-hot-swappable fields (ttl, max-difficulty,
-// replay-cache, clock-skew — state the issuer/verifier own) must match
-// the current spec; changing those needs a rebuilt pipeline
-// (Gatekeeper.Apply does this automatically, at the cost of resetting
-// the replay cache).
+// The spec's name and the rebuild class of the statements table (state
+// the issuer, verifier and tracker own) must match the current spec;
+// changing those needs a rebuilt pipeline (Gatekeeper.Apply does this
+// automatically, at the cost of resetting the replay cache). An
+// effectively identical spec is still recorded, so Spec serves what was
+// declared last.
 //
 // A failed Apply leaves the running configuration untouched.
 func (p *Pipeline) Apply(ps PipelineSpec) error {
@@ -231,6 +232,7 @@ func (p *Pipeline) Apply(ps PipelineSpec) error {
 		return fmt.Errorf("control: pipeline %q: %v is not hot-swappable; rebuild required", ps.Name, err)
 	}
 	if specEqual(p.spec, ps) && p.fw.Swaps() == p.swapsAt {
+		p.spec = ps
 		return nil
 	}
 	scorer, pol, source, ctrl, err := p.reg.components(ps, p.load, p.tracker, p.adaptEvents(ps.Name))
@@ -259,10 +261,11 @@ func (p *Pipeline) installLocked(ps PipelineSpec, scorer core.Scorer, pol policy
 		core.SetFailClosedScore(failClosed),
 		core.SetBypassBelow(bypass),
 	}
-	// The trace ring is rebuilt only when the observe section changed: an
-	// unrelated apply keeps the running ring (and its retained samples),
-	// and a removed section disables tracing with SetTrace(nil).
-	if !p.spec.Observe.equal(ps.Observe) {
+	// The trace ring is rebuilt only when the observe section's effective
+	// value changed: an unrelated apply keeps the running ring (and its
+	// retained samples), and a removed section disables tracing with
+	// SetTrace(nil).
+	if !sameValue(statementIndex["observe"].hot, &p.spec, &ps) {
 		swaps = append(swaps, core.SetTrace(newTraceRing(ps.Observe)))
 	}
 	if err := p.fw.Swap(swaps...); err != nil {
@@ -281,6 +284,14 @@ func (p *Pipeline) upToDate(ps PipelineSpec) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return specEqual(p.spec, ps) && p.fw.Swaps() == p.swapsAt
+}
+
+// redeclare records ps, effectively identical to the running spec, as
+// the declared one without touching the running components.
+func (p *Pipeline) redeclare(ps PipelineSpec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.spec = ps
 }
 
 // applyResolved is installLocked behind the spec mutex.

@@ -494,19 +494,13 @@ func (r *Registry) pipelineEvents(name string) obs.Sink {
 }
 
 // newTraceRing compiles a spec's observe section into a trace ring (nil
-// without one), resolving zero parameters to the obs defaults.
+// without one).
 func newTraceRing(o *ObserveSpec) *obs.TraceRing {
 	if o == nil {
 		return nil
 	}
-	sample, ring := o.TraceSample, o.TraceRing
-	if sample == 0 {
-		sample = obs.DefaultTraceSample
-	}
-	if ring == 0 {
-		ring = obs.DefaultTraceRingSize
-	}
-	return obs.NewTraceRing(sample, ring)
+	e := o.effective()
+	return obs.NewTraceRing(e.TraceSample, e.TraceRing)
 }
 
 // components compiles the hot-swappable component set of a spec over the

@@ -18,11 +18,13 @@ package control
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
 
 	"aipow/internal/feedback"
+	"aipow/internal/obs"
 	"aipow/internal/puzzle"
 )
 
@@ -35,6 +37,9 @@ type Duration time.Duration
 func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
+
+// String renders the duration like time.Duration ("30s").
+func (d Duration) String() string { return time.Duration(d).String() }
 
 // UnmarshalJSON accepts "30s"-style strings or integer nanoseconds.
 func (d *Duration) UnmarshalJSON(data []byte) error {
@@ -58,7 +63,9 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // PipelineSpec declares one runnable pipeline: which components serve a
 // request class and under what limits. Scorer, Policy and Source use the
 // shared component-spec syntax "name" or "name(k=v,k2=v2)"; names resolve
-// against the Registry the spec is built with.
+// against the Registry the spec is built with. Whether Pipeline.Apply may
+// change a field in place is its statement's swap class, declared in the
+// statements table.
 type PipelineSpec struct {
 	// Name identifies the pipeline (route targets, logs, stats).
 	Name string `json:"name"`
@@ -103,35 +110,33 @@ type PipelineSpec struct {
 	// at build time, so changing it rebuilds the pipeline.
 	TrackerWindow Duration `json:"window,omitempty"`
 
-	// TTL is the challenge lifetime (0 = puzzle.DefaultTTL). Not
-	// hot-swappable: it lives in the issuer.
+	// TTL is the challenge lifetime (0 = puzzle.DefaultTTL).
 	TTL Duration `json:"ttl,omitempty"`
 
 	// MaxDifficulty caps what the issuer signs (0 = 22). The compiled
 	// policy is clamped to [1, MaxDifficulty] so a worst-score client
-	// still receives a challenge rather than an error. Not hot-swappable.
+	// still receives a challenge rather than an error.
 	MaxDifficulty int `json:"max_difficulty,omitempty"`
 
 	// BypassBelow lets requests scoring strictly under it skip the puzzle;
-	// nil or negative disables. Hot-swappable.
+	// nil or negative disables.
 	BypassBelow *float64 `json:"bypass_below,omitempty"`
 
 	// FailClosedScore is the score assumed when the scorer errors (nil =
-	// 10, maximally suspicious). Hot-swappable.
+	// 10, maximally suspicious).
 	FailClosedScore *float64 `json:"fail_closed_score,omitempty"`
 
 	// ReplayCache bounds the single-use seed cache (0 = 1<<16, negative
-	// disables replay protection). Not hot-swappable.
+	// disables replay protection).
 	ReplayCache int `json:"replay_cache,omitempty"`
 
 	// AuthCacheSlots sizes the issuer/verifier authenticated-challenge
 	// cache (0 = 2048; rounded up to a power of two, clamped to
 	// [64, 1<<22]). Size toward ≥ 10× the challenges outstanding at any
-	// instant; a miss only costs an HMAC recomputation. Not hot-swappable.
+	// instant; a miss only costs an HMAC recomputation.
 	AuthCacheSlots int `json:"auth_cache,omitempty"`
 
-	// ClockSkew is the verifier's tolerance for clock drift (0 = 2s). Not
-	// hot-swappable.
+	// ClockSkew is the verifier's tolerance for clock drift (0 = 2s).
 	ClockSkew Duration `json:"clock_skew,omitempty"`
 
 	// Adapt attaches a closed-loop feedback controller to the pipeline:
@@ -183,11 +188,11 @@ type PipelineSpec struct {
 // tracker's default).
 type RedeemSpec struct {
 	// Max caps the score attenuation evidence can earn
-	// (0 = reputation.DefaultMaxRedemption). Hot-swappable.
+	// (0 = reputation.DefaultMaxRedemption).
 	Max float64 `json:"max,omitempty"`
 
 	// HalfCredit is the solve credit at which half the maximum redemption
-	// applies (0 = reputation.DefaultHalfCredit). Hot-swappable.
+	// applies (0 = reputation.DefaultHalfCredit).
 	HalfCredit float64 `json:"half_credit,omitempty"`
 
 	// HalfLife is the solve-credit decay half-life, state owned by the
@@ -208,14 +213,6 @@ func (r *RedeemSpec) validate(pipeline string) error {
 		return fmt.Errorf("control: pipeline %q redeem: negative half-life", pipeline)
 	}
 	return nil
-}
-
-// equal reports semantic equality of two redeem sections.
-func (r *RedeemSpec) equal(b *RedeemSpec) bool {
-	if (r == nil) != (b == nil) {
-		return false
-	}
-	return r == nil || *r == *b
 }
 
 // halfLife reports the section's half-life, tolerating a nil receiver.
@@ -244,14 +241,6 @@ func (b *BufferSpec) validate(pipeline string) error {
 		return fmt.Errorf("control: pipeline %q evidence-buffer: non-positive interval %v", pipeline, time.Duration(b.Interval))
 	}
 	return nil
-}
-
-// equal reports semantic equality of two buffer sections.
-func (b *BufferSpec) equal(q *BufferSpec) bool {
-	if (b == nil) != (q == nil) {
-		return false
-	}
-	return b == nil || *b == *q
 }
 
 // ObserveSpec is a pipeline's observability section. In the text DSL it
@@ -284,12 +273,18 @@ func (o *ObserveSpec) validate(pipeline string) error {
 	return nil
 }
 
-// equal reports semantic equality of two observe sections.
-func (o *ObserveSpec) equal(b *ObserveSpec) bool {
-	if (o == nil) != (b == nil) {
-		return false
+// effective resolves the section to the trace parameters its ring runs
+// with: a zero takes the obs default, then obs rounds both up to powers
+// of two.
+func (o ObserveSpec) effective() ObserveSpec {
+	if o.TraceSample == 0 {
+		o.TraceSample = obs.DefaultTraceSample
 	}
-	return o == nil || *o == *b
+	if o.TraceRing == 0 {
+		o.TraceRing = obs.DefaultTraceRingSize
+	}
+	o.TraceSample, o.TraceRing = obs.TraceRingShape(o.TraceSample, o.TraceRing)
+	return o
 }
 
 // ClusterSpec is a pipeline's distributed-defense section. In the text
@@ -332,27 +327,6 @@ func (c *ClusterSpec) validate(pipeline string) error {
 		}
 	}
 	return nil
-}
-
-// equal reports semantic equality of two cluster sections.
-func (c *ClusterSpec) equal(b *ClusterSpec) bool {
-	if (c == nil) != (b == nil) {
-		return false
-	}
-	if c == nil {
-		return true
-	}
-	if c.Exchange != b.Exchange || c.FilterBits != b.FilterBits ||
-		c.FilterHashes != b.FilterHashes || c.DeltaEvery != b.DeltaEvery ||
-		len(c.Peers) != len(b.Peers) {
-		return false
-	}
-	for i := range c.Peers {
-		if c.Peers[i] != b.Peers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AdaptSpec is a pipeline's adaptive-defense section: the signal-plane
@@ -422,26 +396,6 @@ func (a *AdaptSpec) validate(pipeline string) error {
 		return fmt.Errorf("control: pipeline %q adapt: load-shift and load-conditioned rules require `adapt capacity <decisions/s>`", pipeline)
 	}
 	return nil
-}
-
-// equal reports semantic equality of two adapt sections.
-func (a *AdaptSpec) equal(b *AdaptSpec) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.Interval != b.Interval || a.Capacity != b.Capacity || a.Hard != b.Hard ||
-		a.Window != b.Window || a.LoadShift != b.LoadShift || len(a.Rules) != len(b.Rules) {
-		return false
-	}
-	for i := range a.Rules {
-		if a.Rules[i] != b.Rules[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RouteSpec maps one request class onto a pipeline. Exactly one of
@@ -617,106 +571,10 @@ func canonicalPuzzle(spec string) string {
 	return b.Spec()
 }
 
-// specEqual reports whether two (defaults-resolved) specs are identical
-// in effect. Applies skip identical specs entirely, so a reload that
-// touches one pipeline never resets another pipeline's stateful
-// components (e.g. a rate scorer's accumulated window).
-func specEqual(a, b PipelineSpec) bool {
-	eq := func(x, y *float64) bool {
-		if (x == nil) != (y == nil) {
-			return false
-		}
-		return x == nil || *x == *y
-	}
-	return a.Name == b.Name && a.Scorer == b.Scorer && a.Policy == b.Policy &&
-		a.PolicyRules == b.PolicyRules && a.Source == b.Source &&
-		a.TTL == b.TTL && a.MaxDifficulty == b.MaxDifficulty &&
-		a.ReplayCache == b.ReplayCache && a.AuthCacheSlots == b.AuthCacheSlots &&
-		a.ClockSkew == b.ClockSkew &&
-		a.TrackerWindow == b.TrackerWindow &&
-		canonicalPuzzle(a.Puzzle) == canonicalPuzzle(b.Puzzle) &&
-		eq(a.BypassBelow, b.BypassBelow) && eq(a.FailClosedScore, b.FailClosedScore) &&
-		a.Adapt.equal(b.Adapt) && a.Redeem.equal(b.Redeem) &&
-		a.EvidenceBuffer.equal(b.EvidenceBuffer) && a.Cluster.equal(b.Cluster) &&
-		a.Observe.equal(b.Observe)
-}
-
-// swappableEqual reports whether only hot-swappable fields differ between
-// the two specs — the condition under which Apply may proceed without a
-// restart.
-func (p PipelineSpec) swappableEqual(q PipelineSpec) error {
-	switch {
-	case p.TTL != q.TTL:
-		return fmt.Errorf("ttl %v → %v", time.Duration(p.TTL), time.Duration(q.TTL))
-	case p.MaxDifficulty != q.MaxDifficulty:
-		return fmt.Errorf("max-difficulty %d → %d", p.MaxDifficulty, q.MaxDifficulty)
-	case p.ReplayCache != q.ReplayCache:
-		return fmt.Errorf("replay-cache %d → %d", p.ReplayCache, q.ReplayCache)
-	case p.AuthCacheSlots != q.AuthCacheSlots:
-		return fmt.Errorf("auth-cache %d → %d", p.AuthCacheSlots, q.AuthCacheSlots)
-	case p.ClockSkew != q.ClockSkew:
-		return fmt.Errorf("clock-skew %v → %v", time.Duration(p.ClockSkew), time.Duration(q.ClockSkew))
-	case p.TrackerWindow != q.TrackerWindow:
-		return fmt.Errorf("window %v → %v", time.Duration(p.TrackerWindow), time.Duration(q.TrackerWindow))
-	case canonicalPuzzle(p.Puzzle) != canonicalPuzzle(q.Puzzle):
-		return fmt.Errorf("puzzle %s → %s", canonicalPuzzle(p.Puzzle), canonicalPuzzle(q.Puzzle))
-	case p.Redeem.halfLife() != q.Redeem.halfLife():
-		return fmt.Errorf("redeem half-life %v → %v",
-			time.Duration(p.Redeem.halfLife()), time.Duration(q.Redeem.halfLife()))
-	case !p.EvidenceBuffer.equal(q.EvidenceBuffer):
-		return fmt.Errorf("evidence-buffer changed")
-	case !p.Cluster.equal(q.Cluster):
-		return fmt.Errorf("cluster changed")
-	}
-	return nil
-}
-
 // ParseDeployment parses a deployment spec in either form: JSON (first
-// non-space byte '{') or the line-oriented text DSL. The text grammar, one
-// statement per line (with #-comments and blank lines skipped):
-//
-//	pipeline <name>            opens a pipeline block; the lines below
-//	                           configure it until the next top-level statement
-//	  scorer <spec>            e.g. dabr, hybrid(saturation=4)     (required)
-//	  policy <spec>            registry syntax, e.g. policy3(epsilon=2.5)
-//	  when score <op> <n> use <d>   inline policy rules (the policy DSL);
-//	  default <d>                   an alternative to `policy`
-//	  source <spec>            default: tracker
-//	  puzzle <spec>            puzzle backend: hashcash(bits=22) or
-//	                           balloon(space=256, time=2); default hashcash
-//	  ttl <duration>           e.g. 30s
-//	  max-difficulty <n>
-//	  bypass-below <score>
-//	  fail-closed <score>
-//	  replay-cache <n>         negative disables replay protection
-//	  auth-cache <slots>       authenticated-challenge cache size (default
-//	                           2048; rounded to a power of two)
-//	  clock-skew <duration>
-//	  window <duration>        per-pipeline behavior-tracker window (default:
-//	                           the registry's shared tracker)
-//	  adapt escalate(when=<cond>, policy=<spec>, …)   escalation ladder rung
-//	  adapt interval <duration>    controller step cadence (default 1s)
-//	  adapt capacity <rate>        decisions/s treated as full load
-//	  adapt hard <n>               hard-difficulty threshold for the FP proxy
-//	  adapt window <n>             signal window length in steps
-//	  adapt load-shift <n>         load-adaptive difficulty shift at full load
-//	  redeem(max=<drop>, half-credit=<credit>, half-life=<duration>)
-//	                           behavioral redemption over the scorer; every
-//	                           parameter optional (redeem alone = defaults)
-//	  evidence-buffer <size> <interval>   buffered evidence write-back,
-//	                           e.g. evidence-buffer 256 5ms
-//	  cluster peers(<url>, …) exchange(<duration>) filter(bits=<n>, hashes=<n>)
-//	                           distributed defense plane: pull-based peer
-//	                           exchange of replay filters, evidence digests,
-//	                           and fleet counters; every group optional
-//	  observe trace(sample=<n>, ring=<n>)
-//	                           sampled decision tracing: one trace record per
-//	                           <sample> decisions into a ring of <ring>
-//	                           records (both rounded up to powers of two;
-//	                           both optional, zero = defaults)
-//	route <prefix> <pipeline>  longest matching path prefix wins; "/" is
-//	                           the catch-all (required with >1 pipeline)
-//	tenant <key> <pipeline>    tenant routes win over path routes
+// non-space byte '{') or the line-oriented text DSL. SPEC.md's "Text
+// grammar" block is the text form's reference; a test holds it to the
+// statements table below.
 func ParseDeployment(src string) (*DeploymentSpec, error) {
 	trimmed := strings.TrimSpace(src)
 	if strings.HasPrefix(trimmed, "{") {
@@ -739,17 +597,17 @@ func ParseDeployment(src string) (*DeploymentSpec, error) {
 	return parseDeploymentText(src)
 }
 
-// parseDeploymentText compiles the text DSL form.
+// parseDeploymentText compiles the text DSL form. The top-level
+// statements (pipeline, route, tenant) are handled here; every line
+// inside a pipeline block is a row of the statements table.
 func parseDeploymentText(src string) (*DeploymentSpec, error) {
 	d := &DeploymentSpec{}
 	var cur *PipelineSpec // open pipeline block, nil at top level
-	var rules []string    // accumulated inline when/default lines
 	var seen map[string]bool
 	closeBlock := func() {
 		if cur != nil {
-			cur.PolicyRules = strings.Join(rules, "\n")
 			d.Pipelines = append(d.Pipelines, *cur)
-			cur, rules, seen = nil, nil, nil
+			cur, seen = nil, nil
 		}
 	}
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -787,17 +645,16 @@ func parseDeploymentText(src string) (*DeploymentSpec, error) {
 				r.Tenant = args[0]
 			}
 			d.Routes = append(d.Routes, r)
-		case "scorer", "policy", "source", "puzzle", "ttl", "max-difficulty",
-			"bypass-below", "fail-closed", "replay-cache", "auth-cache", "clock-skew", "window",
-			"when", "default", "adapt", "redeem", "evidence-buffer", "cluster", "observe":
+		default:
+			if stmt != "adapt" && statementIndex[stmt] == nil {
+				return nil, fmt.Errorf("control: spec line %d: unknown statement %q", lineNo+1, stmt)
+			}
 			if cur == nil {
 				return nil, fmt.Errorf("control: spec line %d: %q outside a pipeline block", lineNo+1, stmt)
 			}
-			if err := cur.applyStatement(stmt, args, line, &rules, seen); err != nil {
+			if err := cur.fold(stmt, args, line, seen); err != nil {
 				return nil, fmt.Errorf("control: spec line %d: %w", lineNo+1, err)
 			}
-		default:
-			return nil, fmt.Errorf("control: spec line %d: unknown statement %q", lineNo+1, stmt)
 		}
 	}
 	closeBlock()
@@ -807,366 +664,443 @@ func parseDeploymentText(src string) (*DeploymentSpec, error) {
 	return d, nil
 }
 
-// applyStatement folds one pipeline-block line into the spec. seen
-// tracks which scalar statements the block already set: every statement
-// except the when/default rule lines and adapt lines (which do their own
-// per-setting bookkeeping) errors on repetition, so a merge artifact like
-// two bypass-below lines fails loudly instead of last-wins.
-func (p *PipelineSpec) applyStatement(stmt string, args []string, line string, rules *[]string, seen map[string]bool) error {
-	if stmt != "when" && stmt != "default" && stmt != "adapt" {
+// A statement is one row of the pipeline-statement table: a line inside
+// a pipeline block. The table is the block language's single
+// declaration — text dispatch, the duplicate-statement check, specEqual,
+// swappableEqual and the trace-ring replacement decision all read it.
+type statement struct {
+	// keyword opens the line; adapt settings take two words
+	// ("adapt interval").
+	keyword string
+
+	// repeat lets a block hold the statement more than once (rule lines
+	// and escalation rungs accumulate in order); any other statement
+	// errors on repetition, so a merge artifact fails loudly instead of
+	// last-wins.
+	repeat bool
+
+	// fold parses the arguments after the keyword into the spec; line is
+	// the whole trimmed line.
+	fold func(p *PipelineSpec, args []string, line string) error
+
+	// hot and rebuild report the statement's effective value by swap
+	// class: Pipeline.Apply installs a changed hot value in place, while
+	// a changed rebuild value needs a fresh pipeline (Gatekeeper.Apply
+	// builds one). Values compare with reflect.DeepEqual, an absent
+	// section is nil, and each is normalised to what the pipeline runs:
+	// the canonical puzzle spelling, nil for an empty list, the trace
+	// parameters after default substitution and power-of-two rounding.
+	// redeem has both: its magnitude is scorer state, its half-life
+	// tracker state.
+	hot, rebuild func(p *PipelineSpec) any
+}
+
+// swapClass selects the value slot a field statement declares.
+type swapClass int
+
+const (
+	hotSwap swapClass = iota
+	rebuildOnly
+)
+
+// statements is the pipeline-block language, in SPEC.md's order.
+var statements = []statement{
+	field("scorer", hotSwap, func(p *PipelineSpec) any { return &p.Scorer }),
+	field("policy", hotSwap, func(p *PipelineSpec) any { return &p.Policy }),
+	{keyword: "when", repeat: true, fold: foldRule, hot: policyRules},
+	{keyword: "default", repeat: true, fold: foldRule, hot: policyRules},
+	field("source", hotSwap, func(p *PipelineSpec) any { return &p.Source }),
+	{keyword: "puzzle", fold: setField("puzzle", func(p *PipelineSpec) any { return &p.Puzzle }),
+		rebuild: func(p *PipelineSpec) any { return canonicalPuzzle(p.Puzzle) }},
+	field("ttl", rebuildOnly, func(p *PipelineSpec) any { return &p.TTL }),
+	field("max-difficulty", rebuildOnly, func(p *PipelineSpec) any { return &p.MaxDifficulty }),
+	field("bypass-below", hotSwap, func(p *PipelineSpec) any { return &p.BypassBelow }),
+	field("fail-closed", hotSwap, func(p *PipelineSpec) any { return &p.FailClosedScore }),
+	field("replay-cache", rebuildOnly, func(p *PipelineSpec) any { return &p.ReplayCache }),
+	field("auth-cache", rebuildOnly, func(p *PipelineSpec) any { return &p.AuthCacheSlots }),
+	field("clock-skew", rebuildOnly, func(p *PipelineSpec) any { return &p.ClockSkew }),
+	field("window", rebuildOnly, func(p *PipelineSpec) any { return &p.TrackerWindow }),
+	{keyword: "redeem", fold: foldRedeem,
+		hot:     func(p *PipelineSpec) any { return section(p.Redeem, func(r *RedeemSpec) { r.HalfLife = 0 }) },
+		rebuild: func(p *PipelineSpec) any { return struct{ HalfLife Duration }{p.Redeem.halfLife()} }},
+	{keyword: "evidence-buffer", fold: foldBuffer,
+		rebuild: func(p *PipelineSpec) any { return section(p.EvidenceBuffer, nil) }},
+	{keyword: "cluster", fold: foldCluster, rebuild: func(p *PipelineSpec) any {
+		return section(p.Cluster, func(c *ClusterSpec) { c.Peers = append([]string(nil), c.Peers...) })
+	}},
+	{keyword: "observe", fold: foldObserve,
+		hot: func(p *PipelineSpec) any { return section(p.Observe, func(o *ObserveSpec) { *o = o.effective() }) }},
+	{keyword: "adapt escalate", repeat: true, fold: foldEscalate, hot: func(p *PipelineSpec) any {
+		return section(p.Adapt, func(a *AdaptSpec) { *a = AdaptSpec{Rules: append([]string(nil), a.Rules...)} })
+	}},
+	field("adapt interval", hotSwap, adaptField(func(a *AdaptSpec) any { return &a.Interval })),
+	field("adapt capacity", hotSwap, adaptField(func(a *AdaptSpec) any { return &a.Capacity })),
+	field("adapt hard", hotSwap, adaptField(func(a *AdaptSpec) any { return &a.Hard })),
+	field("adapt window", hotSwap, adaptField(func(a *AdaptSpec) any { return &a.Window })),
+	field("adapt load-shift", hotSwap, adaptField(func(a *AdaptSpec) any { return &a.LoadShift })),
+}
+
+// statementIndex maps each keyword to its table row.
+var statementIndex = func() map[string]*statement {
+	m := make(map[string]*statement, len(statements))
+	for i := range statements {
+		m[statements[i].keyword] = &statements[i]
+	}
+	return m
+}()
+
+// fold applies one pipeline-block line. seen records the non-repeatable
+// statements the block already set.
+func (p *PipelineSpec) fold(stmt string, args []string, line string, seen map[string]bool) error {
+	if stmt == "adapt" {
+		switch {
+		case len(args) == 0:
+			return fmt.Errorf("want 'adapt <setting…>'")
+		case strings.HasPrefix(strings.Join(args, " "), "escalate"):
+			stmt = "adapt escalate"
+		default:
+			stmt, args = "adapt "+args[0], args[1:]
+		}
+	}
+	s := statementIndex[stmt]
+	if s == nil {
+		var settings []string
+		for _, s := range statements {
+			if sub, ok := strings.CutPrefix(s.keyword, "adapt "); ok {
+				settings = append(settings, sub)
+			}
+		}
+		return fmt.Errorf("unknown adapt setting %q (want %s)", strings.TrimPrefix(stmt, "adapt "), strings.Join(settings, ", "))
+	}
+	if !s.repeat {
 		if seen[stmt] {
 			return fmt.Errorf("duplicate %s", stmt)
 		}
 		seen[stmt] = true
 	}
-	if stmt == "adapt" {
-		return p.applyAdaptStatement(args, seen)
-	}
-	joined := strings.Join(args, " ") // component specs may contain spaces: policy3(epsilon=2.5, seed=1)
-	one := func(dst *string, what string) error {
-		if joined == "" {
-			return fmt.Errorf("want '%s <%s>'", stmt, what)
-		}
-		*dst = joined
-		return nil
-	}
-	switch stmt {
-	case "redeem":
-		rs, err := parseRedeem(joined)
-		if err != nil {
-			return err
-		}
-		p.Redeem = rs
-		return nil
-	case "cluster":
-		cs, err := parseCluster(joined)
-		if err != nil {
-			return err
-		}
-		p.Cluster = cs
-		return nil
-	case "observe":
-		os, err := parseObserve(joined)
-		if err != nil {
-			return err
-		}
-		p.Observe = os
-		return nil
-	case "evidence-buffer":
-		if len(args) != 2 {
-			return fmt.Errorf("want 'evidence-buffer <size> <interval>'")
-		}
-		size, err := strconv.Atoi(args[0])
-		if err != nil {
-			return fmt.Errorf("evidence-buffer size: %w", err)
-		}
-		iv, err := time.ParseDuration(args[1])
-		if err != nil {
-			return fmt.Errorf("evidence-buffer interval: %w", err)
-		}
-		p.EvidenceBuffer = &BufferSpec{Size: size, Interval: Duration(iv)}
-		return nil
-	case "scorer":
-		return one(&p.Scorer, "spec")
-	case "policy":
-		return one(&p.Policy, "spec")
-	case "source":
-		return one(&p.Source, "spec")
-	case "puzzle":
-		return one(&p.Puzzle, "spec")
-	case "when", "default":
-		*rules = append(*rules, line)
-		return nil
-	case "ttl", "clock-skew", "window":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <duration>'", stmt)
-		}
-		v, err := time.ParseDuration(args[0])
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		switch stmt {
-		case "ttl":
-			p.TTL = Duration(v)
-		case "clock-skew":
-			p.ClockSkew = Duration(v)
-		case "window":
-			p.TrackerWindow = Duration(v)
-		}
-		return nil
-	case "max-difficulty", "replay-cache", "auth-cache":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <n>'", stmt)
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		switch stmt {
-		case "max-difficulty":
-			p.MaxDifficulty = n
-		case "replay-cache":
-			p.ReplayCache = n
-		default:
-			p.AuthCacheSlots = n
-		}
-		return nil
-	case "bypass-below", "fail-closed":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <score>'", stmt)
-		}
-		v, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		if stmt == "bypass-below" {
-			p.BypassBelow = &v
-		} else {
-			p.FailClosedScore = &v
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown statement %q", stmt) // unreachable: caller dispatched
-}
-
-// parseRedeem parses the redeem statement's parameter list: an optional
-// parenthesized, comma- or space-separated k=v list ("(max=6,
-// half-credit=26, half-life=5m)"). An empty list keeps every default.
-func parseRedeem(arg string) (*RedeemSpec, error) {
-	rs := &RedeemSpec{}
-	arg = strings.TrimSpace(arg)
-	if strings.HasPrefix(arg, "(") {
-		if !strings.HasSuffix(arg, ")") {
-			return nil, fmt.Errorf("redeem: unclosed parameter list %q", arg)
-		}
-		arg = arg[1 : len(arg)-1]
-	}
-	for _, tok := range strings.FieldsFunc(arg, func(r rune) bool { return r == ',' || r == ' ' }) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return nil, fmt.Errorf("redeem: want k=v, got %q", tok)
-		}
-		switch k {
-		case "max", "half-credit":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("redeem %s: %w", k, err)
-			}
-			if k == "max" {
-				rs.Max = f
-			} else {
-				rs.HalfCredit = f
-			}
-		case "half-life":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return nil, fmt.Errorf("redeem half-life: %w", err)
-			}
-			rs.HalfLife = Duration(d)
-		default:
-			return nil, fmt.Errorf("redeem: unknown parameter %q (want max, half-credit, half-life)", k)
-		}
-	}
-	return rs, nil
-}
-
-// parseCluster parses the cluster statement's group list: zero or more
-// parenthesized groups — peers(<url>, …), exchange(<duration>),
-// filter(bits=<n>, hashes=<n>), delta(every=<k>) — in any order. A bare
-// `cluster` line enables the plane with every default (no peers: the
-// node only serves its own frame endpoint until peers pull from it).
-func parseCluster(arg string) (*ClusterSpec, error) {
-	cs := &ClusterSpec{}
-	rest := strings.TrimSpace(arg)
-	seen := map[string]bool{}
-	for rest != "" {
-		open := strings.IndexByte(rest, '(')
-		if open <= 0 {
-			return nil, fmt.Errorf("cluster: want '<group>(…)', got %q", rest)
-		}
-		name := strings.TrimSpace(rest[:open])
-		end := strings.IndexByte(rest, ')')
-		if end < open {
-			return nil, fmt.Errorf("cluster: unclosed group %q", name)
-		}
-		body := rest[open+1 : end]
-		rest = strings.TrimSpace(rest[end+1:])
-		if seen[name] {
-			return nil, fmt.Errorf("cluster: duplicate group %q", name)
-		}
-		seen[name] = true
-		switch name {
-		case "peers":
-			cs.Peers = append(cs.Peers, strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' })...)
-		case "exchange":
-			d, err := time.ParseDuration(strings.TrimSpace(body))
-			if err != nil {
-				return nil, fmt.Errorf("cluster exchange: %w", err)
-			}
-			cs.Exchange = Duration(d)
-		case "filter":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("cluster filter: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("cluster filter %s: %w", k, err)
-				}
-				switch k {
-				case "bits":
-					cs.FilterBits = n
-				case "hashes":
-					cs.FilterHashes = n
-				default:
-					return nil, fmt.Errorf("cluster filter: unknown parameter %q (want bits, hashes)", k)
-				}
-			}
-		case "delta":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("cluster delta: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("cluster delta %s: %w", k, err)
-				}
-				switch k {
-				case "every":
-					cs.DeltaEvery = n
-				default:
-					return nil, fmt.Errorf("cluster delta: unknown parameter %q (want every)", k)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("cluster: unknown group %q (want peers, exchange, filter, delta)", name)
-		}
-	}
-	return cs, nil
-}
-
-// parseObserve parses the observe statement's group list: currently the
-// single group trace(sample=<n>, ring=<n>), both parameters optional
-// (zero keeps the obs package's default). A bare `observe trace` or
-// `observe trace()` enables tracing at the defaults.
-func parseObserve(arg string) (*ObserveSpec, error) {
-	os := &ObserveSpec{}
-	rest := strings.TrimSpace(arg)
-	if rest == "" {
-		return nil, fmt.Errorf("observe: want 'observe trace(sample=<n>, ring=<n>)'")
-	}
-	seen := map[string]bool{}
-	for rest != "" {
-		name := rest
-		body := ""
-		if open := strings.IndexByte(rest, '('); open >= 0 {
-			end := strings.IndexByte(rest, ')')
-			if end < open {
-				return nil, fmt.Errorf("observe: unclosed group %q", strings.TrimSpace(rest[:open]))
-			}
-			name = strings.TrimSpace(rest[:open])
-			body = rest[open+1 : end]
-			rest = strings.TrimSpace(rest[end+1:])
-		} else {
-			rest = ""
-		}
-		if name == "" {
-			return nil, fmt.Errorf("observe: want '<group>(…)'")
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("observe: duplicate group %q", name)
-		}
-		seen[name] = true
-		switch name {
-		case "trace":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("observe trace: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("observe trace %s: %w", k, err)
-				}
-				switch k {
-				case "sample":
-					os.TraceSample = n
-				case "ring":
-					os.TraceRing = n
-				default:
-					return nil, fmt.Errorf("observe trace: unknown parameter %q (want sample, ring)", k)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("observe: unknown group %q (want trace)", name)
-		}
-	}
-	return os, nil
-}
-
-// applyAdaptStatement folds one "adapt <setting>" line into the
-// pipeline's adapt section. Escalate rules append in declaration order
-// (that order is the ladder); scalar settings reject repetition via seen,
-// namespaced so they cannot collide with top-level statements.
-func (p *PipelineSpec) applyAdaptStatement(args []string, seen map[string]bool) error {
-	if len(args) == 0 {
-		return fmt.Errorf("want 'adapt <setting…>'")
-	}
-	if p.Adapt == nil {
+	if strings.HasPrefix(stmt, "adapt ") && p.Adapt == nil {
 		p.Adapt = &AdaptSpec{}
 	}
-	joined := strings.Join(args, " ")
-	if strings.HasPrefix(joined, "escalate") {
-		// Validate eagerly so the error carries the spec line number.
-		if _, err := feedback.ParseRule(joined); err != nil {
-			return err
-		}
-		p.Adapt.Rules = append(p.Adapt.Rules, joined)
-		return nil
+	return s.fold(p, args, line)
+}
+
+// specEqual reports whether two (defaults-resolved) specs are identical
+// in effect. Applies skip identical specs entirely, so a reload that
+// touches one pipeline never resets another pipeline's stateful
+// components (e.g. a rate scorer's accumulated window).
+func specEqual(a, b PipelineSpec) bool {
+	if a.Name != b.Name {
+		return false
 	}
-	sub := args[0]
-	key := "adapt " + sub
-	if seen[key] {
-		return fmt.Errorf("duplicate %s", key)
+	for i := range statements {
+		s := &statements[i]
+		if !sameValue(s.hot, &a, &b) || !sameValue(s.rebuild, &a, &b) {
+			return false
+		}
 	}
-	seen[key] = true
-	if len(args) != 2 {
-		return fmt.Errorf("want 'adapt %s <value>'", sub)
-	}
-	val := args[1]
-	switch sub {
-	case "interval":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("adapt interval: %w", err)
+	return true
+}
+
+// swappableEqual reports whether only hot-swappable values differ
+// between the two specs — the condition under which Apply may proceed
+// without a rebuild. The error names the first rebuild-only change.
+func (p PipelineSpec) swappableEqual(q PipelineSpec) error {
+	for _, s := range statements {
+		if s.rebuild == nil {
+			continue
 		}
-		p.Adapt.Interval = Duration(d)
-	case "capacity":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("adapt capacity: %w", err)
+		if from, to := s.rebuild(&p), s.rebuild(&q); !reflect.DeepEqual(from, to) {
+			return fmt.Errorf("%s %+v → %+v", s.keyword, from, to)
 		}
-		p.Adapt.Capacity = v
-	case "hard", "window", "load-shift":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("adapt %s: %w", sub, err)
-		}
-		switch sub {
-		case "hard":
-			p.Adapt.Hard = n
-		case "window":
-			p.Adapt.Window = n
-		case "load-shift":
-			p.Adapt.LoadShift = n
-		}
-	default:
-		return fmt.Errorf("unknown adapt setting %q (want escalate(…), interval, capacity, hard, window, load-shift)", sub)
 	}
 	return nil
 }
+
+// sameValue compares one statement value slot (nil: not declared) of
+// two specs.
+func sameValue(v func(*PipelineSpec) any, a, b *PipelineSpec) bool {
+	return v == nil || reflect.DeepEqual(v(a), v(b))
+}
+
+// field declares a statement that sets one spec field (setField) and
+// compares the field's value in the given swap class.
+func field(keyword string, class swapClass, at func(p *PipelineSpec) any) statement {
+	value := func(p *PipelineSpec) any {
+		if dst := at(p); dst != nil {
+			return reflect.ValueOf(dst).Elem().Interface()
+		}
+		return nil
+	}
+	s := statement{keyword: keyword, fold: setField(keyword, at)}
+	if class == hotSwap {
+		s.hot = value
+	} else {
+		s.rebuild = value
+	}
+	return s
+}
+
+// setField folds a statement into the spec field at points to (nil
+// while the field's section is absent). A string field takes the whole
+// argument text (component specs may contain spaces: policy3(epsilon=2.5,
+// seed=1)); any other takes exactly one argument.
+func setField(keyword string, at func(p *PipelineSpec) any) func(*PipelineSpec, []string, string) error {
+	return func(p *PipelineSpec, args []string, _ string) error {
+		dst := at(p)
+		if s, ok := dst.(*string); ok {
+			if *s = strings.Join(args, " "); *s == "" {
+				return fmt.Errorf("want '%s <spec>'", keyword)
+			}
+			return nil
+		}
+		if len(args) != 1 {
+			return fmt.Errorf("want '%s <%s>'", keyword, argName(dst))
+		}
+		if err := parseInto(dst, args[0]); err != nil {
+			return fmt.Errorf("%s: %w", keyword, err)
+		}
+		return nil
+	}
+}
+
+// section is an optional section's compared value: nil when absent,
+// else a copy normalised by norm (nil: as declared).
+func section[T any](s *T, norm func(*T)) any {
+	if s == nil {
+		return nil
+	}
+	v := *s
+	if norm != nil {
+		norm(&v)
+	}
+	return v
+}
+
+// adaptField lifts an adapt-section field accessor to the pipeline spec
+// (nil without an adapt section; fold creates the section first).
+func adaptField(at func(a *AdaptSpec) any) func(*PipelineSpec) any {
+	return func(p *PipelineSpec) any {
+		if p.Adapt == nil {
+			return nil
+		}
+		return at(p.Adapt)
+	}
+}
+
+// argName is the grammar placeholder for a field statement's argument.
+func argName(dst any) string {
+	switch dst.(type) {
+	case *Duration:
+		return "duration"
+	case **float64:
+		return "score"
+	case *float64:
+		return "rate"
+	}
+	return "n"
+}
+
+// parseInto parses s into the scalar dst points at.
+func parseInto(dst any, s string) error {
+	var err error
+	switch dst := dst.(type) {
+	case *int:
+		*dst, err = strconv.Atoi(s)
+	case *float64:
+		*dst, err = strconv.ParseFloat(s, 64)
+	case **float64:
+		v, e := strconv.ParseFloat(s, 64)
+		*dst, err = &v, e
+	case *Duration:
+		d, e := time.ParseDuration(s)
+		*dst, err = Duration(d), e
+	default:
+		panic(fmt.Sprintf("control: no parser for %T", dst))
+	}
+	return err
+}
+
+// policyRules is the compared value of the inline rule lines.
+func policyRules(p *PipelineSpec) any { return p.PolicyRules }
+
+// foldRule appends an inline policy-rule line (when/default) verbatim.
+func foldRule(p *PipelineSpec, _ []string, line string) error {
+	if p.PolicyRules != "" {
+		p.PolicyRules += "\n"
+	}
+	p.PolicyRules += line
+	return nil
+}
+
+// foldEscalate appends one rung to the adapt ladder, in declaration order
+// (that order is the ladder), validating it eagerly so the error carries
+// the spec line number.
+func foldEscalate(p *PipelineSpec, args []string, _ string) error {
+	rule := strings.Join(args, " ")
+	if _, err := feedback.ParseRule(rule); err != nil {
+		return err
+	}
+	p.Adapt.Rules = append(p.Adapt.Rules, rule)
+	return nil
+}
+
+// foldRedeem parses redeem's optional parenthesized parameter list
+// ("(max=6, half-credit=26, half-life=5m)"; the parentheses may be
+// omitted). An empty list keeps every default.
+func foldRedeem(p *PipelineSpec, args []string, _ string) error {
+	arg := strings.Join(args, " ")
+	if strings.HasPrefix(arg, "(") {
+		if !strings.HasSuffix(arg, ")") {
+			return fmt.Errorf("redeem: unclosed parameter list %q", arg)
+		}
+		arg = arg[1 : len(arg)-1]
+	}
+	r := &RedeemSpec{}
+	if err := kv(part{"max", into(&r.Max)}, part{"half-credit", into(&r.HalfCredit)}, part{"half-life", into(&r.HalfLife)})(arg); err != nil {
+		return fmt.Errorf("redeem: %w", err)
+	}
+	p.Redeem = r
+	return nil
+}
+
+// foldBuffer parses `evidence-buffer <size> <interval>`.
+func foldBuffer(p *PipelineSpec, args []string, _ string) error {
+	if len(args) != 2 {
+		return fmt.Errorf("want 'evidence-buffer <size> <interval>'")
+	}
+	b := &BufferSpec{}
+	if err := parseInto(&b.Size, args[0]); err != nil {
+		return fmt.Errorf("evidence-buffer size: %w", err)
+	}
+	if err := parseInto(&b.Interval, args[1]); err != nil {
+		return fmt.Errorf("evidence-buffer interval: %w", err)
+	}
+	p.EvidenceBuffer = b
+	return nil
+}
+
+// foldCluster parses cluster's groups, each optional and in any order. A
+// bare `cluster` line enables the plane with every default (no peers:
+// the node only serves its own frame endpoint until peers pull from it).
+func foldCluster(p *PipelineSpec, args []string, _ string) error {
+	c := &ClusterSpec{}
+	err := parseGroups(strings.Join(args, " "), false,
+		part{"peers", func(body string) error {
+			c.Peers = append(c.Peers, strings.FieldsFunc(body, isListSep)...)
+			return nil
+		}},
+		part{"exchange", into(&c.Exchange)},
+		part{"filter", kv(part{"bits", into(&c.FilterBits)}, part{"hashes", into(&c.FilterHashes)})},
+		part{"delta", kv(part{"every", into(&c.DeltaEvery)})},
+	)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	p.Cluster = c
+	return nil
+}
+
+// foldObserve parses observe's groups: currently the single group
+// trace(sample=<n>, ring=<n>), both parameters optional (zero keeps the
+// obs package's default). A bare `observe trace` or `observe trace()`
+// enables tracing at the defaults.
+func foldObserve(p *PipelineSpec, args []string, _ string) error {
+	if len(args) == 0 {
+		return fmt.Errorf("observe: want 'observe trace(sample=<n>, ring=<n>)'")
+	}
+	o := &ObserveSpec{}
+	err := parseGroups(strings.Join(args, " "), true,
+		part{"trace", kv(part{"sample", into(&o.TraceSample)}, part{"ring", into(&o.TraceRing)})})
+	if err != nil {
+		return fmt.Errorf("observe: %w", err)
+	}
+	p.Observe = o
+	return nil
+}
+
+// A part is one named piece of a section statement — a group such as
+// filter(…) or a key such as bits= — and the parser of its text.
+type part struct {
+	name  string
+	parse func(string) error
+}
+
+// into is the part parser that parses its text into the scalar dst
+// points at.
+func into(dst any) func(string) error {
+	return func(s string) error { return parseInto(dst, s) }
+}
+
+// lookup finds the part called name among parts.
+func lookup(parts []part, kind, name string) (part, error) {
+	names := make([]string, len(parts))
+	for i, pt := range parts {
+		if pt.name == name {
+			return pt, nil
+		}
+		names[i] = pt.name
+	}
+	return part{}, fmt.Errorf("unknown %s %q (want %s)", kind, name, strings.Join(names, ", "))
+}
+
+// parseGroups parses a "name(body) name(body) …" list, handing each
+// group's body to its part; a group may appear at most once. With bare
+// set, a last group may omit its parentheses (an empty body).
+func parseGroups(rest string, bare bool, groups ...part) error {
+	seen := map[string]bool{}
+	for rest = strings.TrimSpace(rest); rest != ""; {
+		name, body := rest, ""
+		open := strings.IndexByte(rest, '(')
+		switch {
+		case open < 0 && bare:
+			rest = ""
+		case open <= 0:
+			return fmt.Errorf("want '<group>(…)', got %q", rest)
+		default:
+			end := strings.IndexByte(rest, ')')
+			if end < open {
+				return fmt.Errorf("unclosed group %q", strings.TrimSpace(rest[:open]))
+			}
+			name, body, rest = strings.TrimSpace(rest[:open]), strings.TrimSpace(rest[open+1:end]), strings.TrimSpace(rest[end+1:])
+		}
+		if seen[name] {
+			return fmt.Errorf("duplicate group %q", name)
+		}
+		seen[name] = true
+		g, err := lookup(groups, "group", name)
+		if err != nil {
+			return err
+		}
+		if err := g.parse(body); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// kv is the part parser for a comma- or space-separated k=v list; a
+// repeated key keeps its last value.
+func kv(keys ...part) func(string) error {
+	return func(list string) error {
+		for _, tok := range strings.FieldsFunc(list, isListSep) {
+			k, v, ok := strings.Cut(tok, "=")
+			if !ok || v == "" {
+				return fmt.Errorf("want k=v, got %q", tok)
+			}
+			key, err := lookup(keys, "parameter", k)
+			if err != nil {
+				return err
+			}
+			if err := key.parse(v); err != nil {
+				return fmt.Errorf("%s: %w", k, err)
+			}
+		}
+		return nil
+	}
+}
+
+// isListSep splits k=v and peer lists on commas and spaces.
+func isListSep(r rune) bool { return r == ',' || r == ' ' }
 
 // Marshal renders the deployment in canonical JSON (the form the admin
 // /spec endpoint serves and operators can round-trip through

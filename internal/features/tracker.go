@@ -226,9 +226,10 @@ type entrySlot struct {
 	// chain while the slot is free.
 	lruPrev, lruNext uint32
 
-	// Sliding windows, inlined: requests and failures share the epoch
-	// scheme of Window but live in fixed arrays sized maxSlotBuckets (the
-	// tracker's bucket count uses a prefix of them).
+	// Sliding windows, inlined: requests and failures each keep bucket
+	// counts stamped with their epoch (time / bucket span) in fixed
+	// arrays sized maxSlotBuckets (the tracker's bucket count uses a
+	// prefix of them); a stale stamp marks an expired bucket.
 	reqCounts  [maxSlotBuckets]float32
 	failCounts [maxSlotBuckets]float32
 	reqStamps  [maxSlotBuckets]int64
@@ -532,7 +533,7 @@ func winAdd(counts *[maxSlotBuckets]float32, stamps *[maxSlotBuckets]int64, n in
 }
 
 // winSum totals the inline ring's buckets inside the window ending at
-// nowNS, mirroring Window.Sum.
+// nowNS.
 func winSum(counts *[maxSlotBuckets]float32, stamps *[maxSlotBuckets]int64, n int, bucketNS, nowNS int64) float64 {
 	newest := nowNS / bucketNS
 	oldest := newest - int64(n) + 1

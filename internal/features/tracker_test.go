@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// at is the test clock: sec seconds past a fixed epoch.
+func at(sec int) time.Time {
+	return time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
+}
+
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(WithCapacity(0)); err == nil {
 		t.Error("zero capacity accepted")

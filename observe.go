@@ -13,8 +13,9 @@ import (
 
 // ObserveSpec is a pipeline spec's observability section: the decision
 // trace sample rate and ring size ("observe trace(sample=1024,
-// ring=256)"). Hot-swappable — applying a changed section replaces the
-// ring without a pipeline rebuild.
+// ring=256)"). Hot-swappable — an apply that changes the effective sample
+// or ring (after defaults and power-of-two rounding) replaces the ring
+// without a pipeline rebuild.
 type ObserveSpec = control.ObserveSpec
 
 // TraceRing is a lock-free ring of sampled serving-path decision traces.

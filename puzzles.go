@@ -94,30 +94,6 @@ func WithExtendedNonce() SolverOption { return puzzle.WithExtendedNonce() }
 // runtime.NumCPU().
 func WithSolverWorkers(n int) SolverOption { return puzzle.WithSolverWorkers(n) }
 
-// ParallelSolver searches the nonce space with multiple goroutines.
-//
-// Deprecated: NewSolver with WithSolverWorkers covers the same ground
-// with one option set; ParallelSolver remains as a thin wrapper.
-type ParallelSolver = puzzle.ParallelSolver
-
-// ParallelOption configures NewParallelSolver.
-//
-// Deprecated: use SolverOption with NewSolver.
-type ParallelOption = puzzle.ParallelOption
-
-// NewParallelSolver returns a multi-goroutine solver (default
-// runtime.NumCPU() workers).
-//
-// Deprecated: use NewSolver(WithSolverWorkers(n)).
-func NewParallelSolver(opts ...ParallelOption) (*ParallelSolver, error) {
-	return puzzle.NewParallelSolver(opts...)
-}
-
-// WithWorkers sets the parallel solver's goroutine count.
-//
-// Deprecated: use WithSolverWorkers with NewSolver.
-func WithWorkers(n int) ParallelOption { return puzzle.WithWorkers(n) }
-
 // Standalone issuance/verification, for deployments that split the issuer
 // and verifier across processes. Most callers should use Framework, which
 // wires these internally.
