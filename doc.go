@@ -335,7 +335,14 @@
 //     routed to its pipeline, and results return in request order.
 //     Because the handler trusts caller-supplied client IPs, powserver
 //     mounts it on the admin listener behind the bearer token, not on
-//     the public mux.
+//     the public mux. The wire format is most of a batched decision's
+//     cost, so the handler parses the document shape proxies send with
+//     a hand-written scanner (anything else still goes to
+//     encoding/json), appends the reply and its challenge tokens into
+//     pooled buffers, and reuses its per-call scratch. On powbench's
+//     batch-churn workload (2-vCPU VM, ten alternating pairs of 20 s
+//     runs) that cut the server's CPU per decision from 5.9 µs to
+//     3.3 µs, median against median, with the same bytes on the wire.
 //   - Evidence write-back buffering (WithEvidenceBuffer, spec line
 //     "evidence-buffer <size> <interval>") moves tracker writes off the
 //     Verify hot path: events queue in per-shard buffers and apply in

@@ -1,9 +1,12 @@
 package httpmw
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"aipow/internal/core"
@@ -77,6 +80,17 @@ const DefaultBatchLimit = 1024
 // framework sees one batch. Semantics per item match the Middleware flow:
 // a valid solution passes, an invalid one earns a fresh challenge, and
 // everything is observed by the behavior tracker exactly once.
+//
+// The wire codec costs no reflection on the common case. A body of the
+// shape proxies send — {"requests":[…]} with the lower-case item keys,
+// ASCII string values without escapes, and nothing after the document —
+// is parsed by a hand-written scanner (scanBatch). Any other body, and
+// any body over 1 MiB, goes to encoding/json over the same bytes, so the
+// language the handler accepts and every error it writes are still the
+// standard library's: the scanner never rejects, it only defers. The
+// response is appended straight into a pooled buffer, challenge tokens
+// encoded in place, with the bytes json.Encoder writes for
+// batchResultBody. Per-call scratch comes from a pool.
 type BatchHandler struct {
 	fw     *core.Framework // single-pipeline mode; nil when routed
 	router Router          // per-route mode; nil when single
@@ -134,35 +148,135 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST a batch document"})
 		return
 	}
-	var body batchRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	sc := batchPool.Get().(*batchScratch)
+	defer sc.release()
+	reqs, err := sc.decode(r.Body, h.limit)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed batch document: " + err.Error()})
 		return
 	}
 	switch {
-	case len(body.Requests) == 0:
+	case len(reqs) == 0:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
 		return
-	case len(body.Requests) > h.limit:
+	case len(reqs) > h.limit:
 		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(body.Requests), h.limit)})
+			errorBody{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), h.limit)})
 		return
 	}
-	for i := range body.Requests {
-		if body.Requests[i].IP == "" {
+	for i := range reqs {
+		if reqs[i].IP == "" {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("request %d without ip", i)})
 			return
 		}
 	}
 
-	results := make([]BatchResult, len(body.Requests))
-	for _, group := range h.group(body.Requests) {
-		if err := h.serveGroup(group.fw, body.Requests, group.idx, results); err != nil {
+	sc.reset(len(reqs))
+	for _, group := range h.group(sc, reqs) {
+		if err := h.serveGroup(sc, group.fw, reqs, group.idx); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResultBody{Results: results})
+	out, err := appendResults(sc.out[:0], sc.results, sc.chals)
+	sc.out = out
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "challenge encoding failed: " + err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
+}
+
+// Pooled scratch is dropped rather than kept once one call has grown it
+// past these bounds, so a single huge batch does not pin its memory.
+const (
+	maxPooledBytes = 1 << 20
+	maxPooledItems = 4 * DefaultBatchLimit
+)
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// batchScratch is one call's working memory: the body and response
+// buffers, the decoded items, per-item outcomes, and the per-group
+// slices handed to the framework's batch entry points.
+type batchScratch struct {
+	body, out []byte
+	reqs      []BatchRequest
+
+	// Per item, indexed like the request: the result, its challenge (read
+	// only where the result's Status is BatchChallenge), and its state.
+	results []BatchResult
+	chals   []puzzle.Challenge
+	state   []itemState
+
+	groups   []fwGroup
+	sols     []puzzle.Solution
+	solIdx   []int
+	bindings []string
+	verdicts []error
+	obs      []features.RequestInfo
+	decIdx   []int
+	dreqs    []core.RequestContext
+	decs     []core.Decision
+}
+
+// itemState tracks an item with a solution through one call.
+type itemState uint8
+
+const (
+	itemMalformed itemState = 1 + iota // the token did not decode
+	itemRejected                       // the solution failed verification
+)
+
+// decode reads the request body and parses it: with scanBatch when the
+// whole body fits in the pooled buffer and has the canonical shape, and
+// with encoding/json over the same stream otherwise.
+func (sc *batchScratch) decode(body io.Reader, limit int) ([]BatchRequest, error) {
+	var rest io.Reader
+	sc.body, rest = readBody(sc.body, body)
+	if rest == nil {
+		reqs, ok := scanBatch(sc.body, sc.reqs[:0], limit)
+		sc.reqs = reqs
+		if ok {
+			return reqs, nil
+		}
+	}
+	src := io.Reader(bytes.NewReader(sc.body))
+	if rest != nil {
+		src = io.MultiReader(src, rest)
+	}
+	var doc batchRequestBody
+	if err := json.NewDecoder(src).Decode(&doc); err != nil {
+		return nil, err
+	}
+	return doc.Requests, nil
+}
+
+// reset sizes the per-item slices for n items. Every result is written
+// before it is read; the state starts clear.
+func (sc *batchScratch) reset(n int) {
+	sc.results = grow(sc.results, n)
+	sc.chals = grow(sc.chals, n)
+	sc.state = grow(sc.state, n)
+	clear(sc.state)
+}
+
+// release returns sc to the pool unless it outgrew the pooling bounds.
+func (sc *batchScratch) release() {
+	if cap(sc.body) > maxPooledBytes || cap(sc.out) > maxPooledBytes || cap(sc.results) > maxPooledItems {
+		return
+	}
+	batchPool.Put(sc)
+}
+
+// grow returns s resized to n, reusing its backing array when it can.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // fwGroup is the index set of one framework's items.
@@ -172,27 +286,31 @@ type fwGroup struct {
 }
 
 // group partitions the batch by serving framework (a single group in
-// single-pipeline mode), preserving request order within each group.
-func (h *BatchHandler) group(reqs []BatchRequest) []fwGroup {
-	if h.router == nil {
-		idx := make([]int, len(reqs))
-		for i := range idx {
-			idx[i] = i
-		}
-		return []fwGroup{{fw: h.fw, idx: idx}}
-	}
-	var groups []fwGroup
-	byFW := make(map[*core.Framework]int)
+// single-pipeline mode), in order of first appearance and preserving
+// request order within each group. A deployment has few pipelines, so
+// the group is found by a linear scan.
+func (h *BatchHandler) group(sc *batchScratch, reqs []BatchRequest) []fwGroup {
+	groups := sc.groups[:0]
 	for i := range reqs {
-		fw := h.router.Route(reqs[i].Path, reqs[i].Tenant)
-		g, ok := byFW[fw]
-		if !ok {
-			g = len(groups)
-			byFW[fw] = g
-			groups = append(groups, fwGroup{fw: fw})
+		fw := h.fw
+		if h.router != nil {
+			fw = h.router.Route(reqs[i].Path, reqs[i].Tenant)
+		}
+		g := 0
+		for g < len(groups) && groups[g].fw != fw {
+			g++
+		}
+		if g == len(groups) {
+			if g < cap(groups) {
+				groups = groups[:g+1]
+				groups[g].fw, groups[g].idx = fw, groups[g].idx[:0]
+			} else {
+				groups = append(groups, fwGroup{fw: fw})
+			}
 		}
 		groups[g].idx = append(groups[g].idx, i)
 	}
+	sc.groups = groups
 	return groups
 }
 
@@ -200,87 +318,84 @@ func (h *BatchHandler) group(reqs []BatchRequest) []fwGroup {
 // verify the presented solutions, then decide the rest — including items
 // whose solution was rejected, which earn a fresh challenge exactly like
 // the Middleware flow.
-func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx []int, results []BatchResult) error {
+func (h *BatchHandler) serveGroup(sc *batchScratch, fw *core.Framework, reqs []BatchRequest, idx []int) error {
 	now := h.now()
+	results, state := sc.results, sc.state
 
 	// One observation per item. A malformed solution token is a failed
 	// presentation — behavioral signal, like the middleware's flow.
-	sols := make([]puzzle.Solution, 0, len(idx))
-	solIdx := make([]int, 0, len(idx))
-	malformed := make(map[int]bool)
+	sols, solIdx := sc.sols[:0], sc.solIdx[:0]
 	for _, i := range idx {
 		if reqs[i].Solution == "" {
 			continue
 		}
 		var sol puzzle.Solution
 		if err := sol.UnmarshalText([]byte(reqs[i].Solution)); err != nil {
-			malformed[i] = true
+			state[i] = itemMalformed
 			results[i] = BatchResult{Status: BatchRejected, Error: "malformed solution token"}
 			continue
 		}
 		sols = append(sols, sol)
 		solIdx = append(solIdx, i)
 	}
+	sc.sols, sc.solIdx = sols, solIdx
 
-	obs := make([]features.RequestInfo, len(idx))
-	for k, i := range idx {
-		obs[k] = features.RequestInfo{
+	obs := sc.obs[:0]
+	for _, i := range idx {
+		obs = append(obs, features.RequestInfo{
 			IP:     reqs[i].IP,
 			Path:   reqs[i].Path,
 			At:     now,
-			Failed: reqs[i].Failed || malformed[i],
-		}
+			Failed: reqs[i].Failed || state[i] == itemMalformed,
+		})
 	}
+	sc.obs = obs
 	// Best-effort, like Middleware.observe: tracking must not block serving.
 	_ = fw.ObserveBatch(obs)
 
-	var decIdx []int // items needing a decision, in request order
-	for _, i := range idx {
-		if reqs[i].Solution == "" {
-			decIdx = append(decIdx, i)
-		}
-	}
 	if len(sols) > 0 {
-		bindings := make([]string, len(sols))
-		for k, i := range solIdx {
-			bindings[k] = reqs[i].IP
+		bindings := sc.bindings[:0]
+		for _, i := range solIdx {
+			bindings = append(bindings, reqs[i].IP)
 		}
-		verdicts, err := fw.VerifyBatch(sols, bindings, nil)
+		sc.bindings = bindings
+		verdicts, err := fw.VerifyBatch(sols, bindings, sc.verdicts)
 		if err != nil {
 			return fmt.Errorf("verify batch: %w", err)
 		}
-		// Rejected solutions fold into the decide pass below, restoring
-		// request order so each still gets a fresh challenge.
-		rejected := make(map[int]bool)
+		sc.verdicts = verdicts
 		for k, i := range solIdx {
 			if verdicts[k] == nil {
 				results[i] = BatchResult{Status: BatchPass}
 			} else {
-				rejected[i] = true
+				state[i] = itemRejected
 			}
-		}
-		if len(rejected) > 0 {
-			merged := decIdx[:0:0]
-			for _, i := range idx {
-				if rejected[i] || (reqs[i].Solution == "" && !malformed[i]) {
-					merged = append(merged, i)
-				}
-			}
-			decIdx = merged
 		}
 	}
+
+	// Items needing a decision, in request order: plain requests, and
+	// rejected solutions, which each earn a fresh challenge.
+	decIdx := sc.decIdx[:0]
+	for _, i := range idx {
+		if reqs[i].Solution == "" || state[i] == itemRejected {
+			decIdx = append(decIdx, i)
+		}
+	}
+	sc.decIdx = decIdx
 	if len(decIdx) == 0 {
 		return nil
 	}
 
-	dreqs := make([]core.RequestContext, len(decIdx))
-	for k, i := range decIdx {
-		dreqs[k] = core.RequestContext{IP: reqs[i].IP}
+	dreqs := sc.dreqs[:0]
+	for _, i := range decIdx {
+		dreqs = append(dreqs, core.RequestContext{IP: reqs[i].IP})
 	}
-	decs, err := fw.DecideBatch(dreqs, nil)
+	sc.dreqs = dreqs
+	decs, err := fw.DecideBatch(dreqs, sc.decs)
 	if err != nil {
 		return fmt.Errorf("decide batch: %w", err)
 	}
+	sc.decs = decs
 	for k, i := range decIdx {
 		rejectedMsg := ""
 		if reqs[i].Solution != "" {
@@ -290,13 +405,10 @@ func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx [
 			results[i] = BatchResult{Status: BatchPass, Error: rejectedMsg}
 			continue
 		}
-		token, err := decs[k].Challenge.MarshalText()
-		if err != nil {
-			return fmt.Errorf("challenge encoding failed: %w", err)
-		}
+		// The token is encoded straight into the response (appendResults).
+		sc.chals[i] = decs[k].Challenge
 		results[i] = BatchResult{
 			Status:     BatchChallenge,
-			Challenge:  string(token),
 			Difficulty: decs[k].Difficulty,
 			Error:      rejectedMsg,
 		}

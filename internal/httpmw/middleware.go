@@ -186,19 +186,23 @@ func (m *Middleware) challenge(fw *core.Framework, w http.ResponseWriter, r *htt
 		m.next.ServeHTTP(w, r)
 		return
 	}
-	token, err := dec.Challenge.MarshalText()
+	// The token is built in a stack buffer (the longest is 455 bytes);
+	// only the header string is allocated, and the body shares it.
+	var buf [512]byte
+	raw, err := dec.Challenge.AppendText(buf[:0])
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "challenge encoding failed"})
 		return
 	}
+	token := string(raw)
 	msg := fmt.Sprintf("solve the %d-difficult puzzle and retry with %s", dec.Difficulty, HeaderSolution)
 	if extraMsg != "" {
 		msg = extraMsg + "; " + msg
 	}
-	w.Header().Set(HeaderChallenge, string(token))
+	w.Header().Set(HeaderChallenge, token)
 	w.Header().Set(HeaderDifficulty, fmt.Sprintf("%d", dec.Difficulty))
 	writeJSON(w, StatusChallenge, challengeBody{
-		Challenge:  string(token),
+		Challenge:  token,
 		Difficulty: dec.Difficulty,
 		Message:    msg,
 	})

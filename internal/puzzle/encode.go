@@ -86,16 +86,26 @@ func (c *Challenge) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// maxTokenRaw bounds a challenge's binary encoding: the Version2 fixed
+// part, the longest binding, and the tag.
+const maxTokenRaw = binaryFixedSizeV2 + maxBindingLen + TagSize
+
 // MarshalText encodes the challenge as a single base64url token suitable
 // for an HTTP header.
 func (c Challenge) MarshalText() ([]byte, error) {
-	raw, err := c.MarshalBinary()
-	if err != nil {
-		return nil, err
+	return c.AppendText(nil)
+}
+
+// AppendText appends the challenge's base64url token (the MarshalText
+// form) to dst. The binary form is built in a stack buffer, so a caller
+// that appends into a reused buffer encodes without allocating.
+func (c *Challenge) AppendText(dst []byte) ([]byte, error) {
+	if len(c.Binding) > maxBindingLen {
+		return dst, ErrBindingTooLong
 	}
-	out := make([]byte, base64.RawURLEncoding.EncodedLen(len(raw)))
-	base64.RawURLEncoding.Encode(out, raw)
-	return out, nil
+	var buf [maxTokenRaw]byte
+	raw := append(c.appendCanonical(buf[:0]), c.Tag[:]...)
+	return base64.RawURLEncoding.AppendEncode(dst, raw), nil
 }
 
 // UnmarshalText decodes a base64url challenge token.
@@ -122,11 +132,12 @@ func (c Challenge) String() string {
 
 // MarshalText encodes a solution as "<challenge-token>.<nonce-hex>".
 func (s Solution) MarshalText() ([]byte, error) {
-	cht, err := s.Challenge.MarshalText()
+	b, err := s.Challenge.AppendText(nil)
 	if err != nil {
 		return nil, err
 	}
-	return []byte(string(cht) + "." + strconv.FormatUint(s.Nonce, 16)), nil
+	b = append(b, '.')
+	return strconv.AppendUint(b, s.Nonce, 16), nil
 }
 
 // UnmarshalText decodes a solution encoded by MarshalText.

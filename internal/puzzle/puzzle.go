@@ -176,11 +176,18 @@ func (c Challenge) canonical() []byte {
 
 // appendCanonical appends the canonical form to b and returns the extended
 // slice; the hot paths pass pooled buffers to avoid per-call allocation.
-// Version1 keeps its original byte layout exactly, so pre-backend tokens
-// stay authentic; Version2 prepends the backend ID and cost parameters
-// under a distinct magic.
+// A challenge without a backend (Version1) keeps the original byte layout
+// exactly, so pre-backend tokens stay authentic; one with a backend
+// (Version2) prepends the backend ID and cost parameters under a distinct
+// magic. The layout follows the backend, not the version byte, because
+// that is what decoding recovers: UnmarshalBinary reads a zero backend
+// from the v1 magic and requires a nonzero one under magic2, whatever the
+// version byte says. So every token that decodes re-encodes to itself.
+// Issued challenges pair the two (Version1 without a backend, Version2
+// with one); any other pairing fails the verifier's version gate before
+// these bytes matter.
 func (c *Challenge) appendCanonical(b []byte) []byte {
-	if c.Version >= Version2 {
+	if c.Backend != 0 {
 		b = append(b, magic2...)
 		b = append(b, c.Version)
 		b = append(b, byte(c.Backend))
